@@ -25,7 +25,7 @@ def test_scalability_sweep(benchmark, write_report):
     assert result.messages_scale_linearly(tolerance=1.0)
     # Every population size still achieves a peak reduction.
     assert all(row["peak_reduction_fraction"] > 0 for row in rows)
-    write_report("E9_scalability", result.render())
+    write_report("E9_scalability", result.render(timings=False))
 
 
 def test_fast_scalability_sweep(write_report, tmp_path):
@@ -40,7 +40,7 @@ def test_fast_scalability_sweep(write_report, tmp_path):
     # The machine-readable trajectory artefact round-trips.
     payload_path = write_benchmark_json(tmp_path / "bench.json", result, seed=0)
     assert payload_path.exists()
-    write_report("E9_scalability_fast_ci", result.render())
+    write_report("E9_scalability_fast_ci", result.render(timings=False))
 
 
 def test_sharded_scalability_sweep(write_report, tmp_path):
@@ -63,7 +63,7 @@ def test_sharded_scalability_sweep(write_report, tmp_path):
     payload = json.loads(payload_path.read_text(encoding="utf-8"))
     assert payload["sharded_path"]["shards"] == 2
     assert payload["sharded_speedup_at_shared_max"]["num_households"] == 200
-    write_report("E9_scalability_sharded_ci", sharded.render())
+    write_report("E9_scalability_sharded_ci", sharded.render(timings=False))
 
 
 @pytest.mark.perf_smoke

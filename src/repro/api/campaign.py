@@ -27,6 +27,7 @@ import os
 from typing import Optional, Sequence
 
 from repro.api.config import EngineConfig
+from repro.core.modes import DEFAULT_ROUNDS
 from repro.core.planning import CampaignResult, DayAheadPlanner, MultiDayCampaign
 from repro.grid.production import ProductionModel
 from repro.grid.weather import WeatherCondition, WeatherModel
@@ -65,8 +66,8 @@ def campaign(
     config:
         Base :class:`EngineConfig`; its ``planning`` field selects the
         columnar or scalar planning path, its ``materialise`` field the
-        eager (oracle) or lazy (zero-materialisation) planning → negotiation
-        hand-off, and its ``history_window`` bounds the predictor's memory
+        lazy (default, zero-materialisation) or eager (oracle) planning →
+        negotiation hand-off, and its ``history_window`` bounds the predictor's memory
         (when omitted, the planner's own modes govern); its ``seed`` is
         stepped per day.
     warmup_days / seed / production / weather_model:
@@ -116,7 +117,7 @@ def campaign(
             "materialise": (
                 resolved.materialise if resolved is not None else planner.materialise
             ),
-            "rounds": resolved.rounds if resolved is not None else "object",
+            "rounds": resolved.rounds if resolved is not None else DEFAULT_ROUNDS,
             "history_window": (
                 resolved.history_window
                 if resolved is not None and resolved.history_window is not None

@@ -29,12 +29,13 @@ core only: no producer agent, no external world, no resource consumers.
 
 from __future__ import annotations
 
-from typing import Optional
+from collections.abc import Iterator, Mapping
+from typing import Callable, Optional
 
 import numpy as np
 
 from repro.agents.vectorized import VectorizedPopulation
-from repro.core.modes import validate_rounds_mode
+from repro.core.modes import DEFAULT_ROUNDS, validate_rounds_mode
 from repro.core.results import ColumnarOutcomes, CustomerOutcome, NegotiationResult
 from repro.core.scenario import Scenario
 from repro.negotiation.messages import Award, Bid, CutdownBid, OfferResponse, QuantityBid
@@ -56,6 +57,105 @@ from repro.runtime.faults import FaultInjector, FaultPlan
 from repro.runtime.messaging import Performative
 
 
+def _cutdown_bid(customer: str, round_number: int, value) -> Bid:
+    return CutdownBid(customer=customer, round_number=round_number, cutdown=float(value))
+
+
+def _offer_response(customer: str, round_number: int, value) -> Bid:
+    return OfferResponse(customer=customer, round_number=round_number, accept=bool(value))
+
+
+def _quantity_bid(customer: str, round_number: int, value) -> Bid:
+    return QuantityBid(
+        customer=customer, round_number=round_number, needed_use=float(value)
+    )
+
+
+#: Per array-round bid-state column: the ``Bid`` :meth:`FastSession._respond_all`
+#: builds from one of its entries on object rounds.
+_BID_BUILDERS: dict[str, Callable[[str, int, object], Bid]] = {
+    "cutdowns": _cutdown_bid,
+    "accepts": _offer_response,
+    "needs": _quantity_bid,
+}
+
+
+class _CustomerRows:
+    """A population's ``customer -> row`` index, built on the first lookup.
+
+    Shared by every round of one session, so reading a bid trajectory costs
+    one index build, not one per round.  The dict is complete before it is
+    published, so concurrent readers never see a partial index.
+    """
+
+    __slots__ = ("customer_ids", "_rows")
+
+    def __init__(self, customer_ids: list[str]) -> None:
+        self.customer_ids = customer_ids
+        self._rows: Optional[dict[str, int]] = None
+
+    def __getitem__(self, customer: str) -> int:
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = {
+                known: row for row, known in enumerate(self.customer_ids)
+            }
+        return rows[customer]
+
+
+class ArrayRoundBids(Mapping):
+    """One array round's bids as a read-only ``customer -> Bid`` mapping.
+
+    Holds a reference to the round's bid-state column — :meth:`FastSession
+    ._respond_all` rebinds each state array every round, so a past round's
+    column is never written again — and builds a ``Bid`` only when one is
+    read.  The keys are the customers whose bid reached the utility side, in
+    population order, so the view equals the object rounds' bid table for
+    the same round (faults included).
+    """
+
+    __slots__ = ("_build", "_round_number", "_column", "_rows", "_undelivered")
+
+    def __init__(
+        self,
+        build: Callable[[str, int, object], Bid],
+        round_number: int,
+        column: np.ndarray,
+        rows: _CustomerRows,
+        undelivered: Optional[np.ndarray],
+    ) -> None:
+        self._build = build
+        self._round_number = round_number
+        self._column = column
+        self._rows = rows
+        self._undelivered = undelivered
+
+    def __len__(self) -> int:
+        total = len(self._rows.customer_ids)
+        if self._undelivered is None:
+            return total
+        return total - int(np.count_nonzero(self._undelivered))
+
+    def __iter__(self) -> Iterator[str]:
+        customer_ids = self._rows.customer_ids
+        if self._undelivered is None:
+            return iter(customer_ids)
+        return (
+            customer
+            for customer, lost in zip(customer_ids, self._undelivered)
+            if not lost
+        )
+
+    def __getitem__(self, customer: str) -> Bid:
+        row = self._rows[customer]
+        if self._undelivered is not None and self._undelivered[row]:
+            raise KeyError(customer)
+        return self._build(customer, self._round_number, self._column[row])
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self.items())!r})"
+
+
 class FastSession:
     """Vectorized drop-in for :class:`~repro.core.session.NegotiationSession`.
 
@@ -72,19 +172,19 @@ class FastSession:
         check_protocol: bool = True,
         retain_round_bids: bool = True,
         fault_plan: Optional[FaultPlan] = None,
-        rounds: str = "object",
+        rounds: str = DEFAULT_ROUNDS,
     ) -> None:
         self.scenario = scenario
         self.seed = seed
         self.max_simulation_rounds = max_simulation_rounds
         self.check_protocol = check_protocol
         self.fault_plan = fault_plan
-        #: Round execution mode.  ``"object"`` materialises every round's bid
-        #: objects (the reference semantics); ``"array"`` keeps a round's bids
-        #: as the numpy state arrays the kernels already compute and runs the
-        #: utility side through the methods' array contracts — bit-identical
-        #: results with zero per-round ``Bid`` construction.  The session
-        #: falls back to object rounds (recorded in
+        #: Round execution mode.  ``"array"`` (the default) keeps a round's
+        #: bids as the numpy state arrays the kernels already compute and runs
+        #: the utility side through the methods' array contracts —
+        #: bit-identical results with zero per-round ``Bid`` construction;
+        #: ``"object"`` materialises every round's bid objects (the reference
+        #: semantics).  The session falls back to object rounds (recorded in
         #: ``result.metadata["rounds_mode"]``) when the method, its policies
         #: or the population cannot honour the array contract.
         self.rounds = validate_rounds_mode(rounds)
@@ -97,11 +197,12 @@ class FastSession:
         )
         #: Per customer, whether any round was evaluated without their bid.
         self._degraded_ever: Optional[np.ndarray] = None
-        #: Whether each RoundRecord keeps its per-customer bid objects.  The
-        #: vectorized counterpart of the bus's log retention: at 100k
-        #: households a round's bids are ~100k objects, and a multi-week
-        #: campaign that only reads the accounting rows never looks at them.
-        #: Overuse bookkeeping, awards and outcomes are unaffected.
+        #: Whether each RoundRecord keeps its per-customer bids (the bid
+        #: objects on object rounds, a lazy view over the round's bid column
+        #: on array rounds).  The vectorized counterpart of the bus's log
+        #: retention: a multi-week campaign that only reads the accounting
+        #: rows never looks at them.  Overuse bookkeeping, awards and
+        #: outcomes are unaffected; the record notes the choice.
         self.retain_round_bids = retain_round_bids
         self.population: Optional[VectorizedPopulation] = None
         self.protocol: Optional[MonotonicConcessionProtocol] = None
@@ -151,9 +252,11 @@ class FastSession:
             conversation_id=f"negotiation_{scenario.name}",
             normal_use=self._context.normal_use,
             initial_overuse=self._context.initial_overuse,
+            bids_retained=self.retain_round_bids,
         )
         self.message_counts = {}
         self._messages_sent = 0
+        self._customer_rows = _CustomerRows(population.customer_ids)
         return self.population
 
     # -- message accounting ------------------------------------------------------
@@ -205,7 +308,7 @@ class FastSession:
         """
         population = self.population
         method = self.scenario.method
-        round_number = announcement.round_number
+        key = None
         if isinstance(method, RewardTablesMethod):
             candidates = self._cutdown_candidates(announcement)
             previous = state.get("cutdowns")
@@ -214,31 +317,12 @@ class FastSession:
             if suppressed is not None and suppressed.any():
                 held = previous if previous is not None else np.zeros(len(candidates))
                 candidates = np.where(suppressed, held, candidates)
-            state["cutdowns"] = candidates
-            if not materialise:
-                return None
-            return [
-                CutdownBid(
-                    customer=customer,
-                    round_number=round_number,
-                    cutdown=float(cutdown),
-                )
-                for customer, cutdown in zip(population.customer_ids, candidates)
-            ]
-        if isinstance(method, OfferMethod):
-            accepts = population.offer_acceptances(announcement, method.peak_hours)
-            state["accepts"] = accepts
-            if not materialise:
-                return None
-            return [
-                OfferResponse(
-                    customer=customer,
-                    round_number=round_number,
-                    accept=bool(accept),
-                )
-                for customer, accept in zip(population.customer_ids, accepts)
-            ]
-        if isinstance(method, RequestForBidsMethod):
+            key = "cutdowns"
+            state[key] = candidates
+        elif isinstance(method, OfferMethod):
+            key = "accepts"
+            state[key] = population.offer_acceptances(announcement, method.peak_hours)
+        elif isinstance(method, RequestForBidsMethod):
             current = state.get("needs")
             if current is None:
                 current = population.predicted_uses.copy()
@@ -250,16 +334,16 @@ class FastSession:
             )
             if suppressed is not None and suppressed.any():
                 needs = np.where(suppressed, current, needs)
-            state["needs"] = needs
+            key = "needs"
+            state[key] = needs
+        if key is not None:
             if not materialise:
                 return None
+            build = _BID_BUILDERS[key]
+            round_number = announcement.round_number
             return [
-                QuantityBid(
-                    customer=customer,
-                    round_number=round_number,
-                    needed_use=float(needed),
-                )
-                for customer, needed in zip(population.customer_ids, needs)
+                build(customer, round_number, value)
+                for customer, value in zip(population.customer_ids, state[key])
             ]
         if not materialise:
             # Array rounds are gated on supports_array_rounds(), which is
@@ -345,36 +429,40 @@ class FastSession:
 
     # -- fault-aware exchange -------------------------------------------------------
 
-    def _exchange(self, announcement, state: dict) -> tuple[list[Bid], list[Bid]]:
-        """One announcement → bids exchange: ``(all_bids, delivered_bids)``.
+    def _exchange(
+        self, announcement, state: dict, materialise: bool = True
+    ) -> tuple[Optional[list[Bid]], Optional[np.ndarray]]:
+        """One announcement → bids exchange: ``(bids, undelivered)``.
 
-        ``all_bids`` has one entry per customer (the population-order bid
-        state, used for final-bid reporting); ``delivered_bids`` is the
-        subset that actually reached the utility side in time and enters the
-        round evaluation.  Fault-free — or with a zero-rate plan — the two
-        are the same list and the message counters advance exactly as the
-        object path's bus counters do.
+        ``bids`` has one entry per customer in population order (``None`` on
+        array rounds, whose bids stay in the numpy state arrays — see
+        :meth:`_respond_all`); ``undelivered`` marks the customers whose bid
+        did not reach the utility side in time and is ``None`` on the
+        fault-free path, where every bid arrives.  Fault-free — or with a
+        zero-rate plan — the message counters advance exactly as the object
+        path's bus counters do.  The fault masks are drawn from ``(seed,
+        stream, round)`` streams, so array and object rounds of the same plan
+        see identical faults.
         """
         population_size = len(self.population)
         injector = self.fault_injector
         if injector is None or not injector.fast_path_faults:
-            bids = self._respond_all(announcement, state)
+            bids = self._respond_all(announcement, state, materialise=materialise)
             self._count_messages(Performative.ANNOUNCE, population_size)
             self._count_messages(Performative.BID, population_size)
-            return bids, bids
+            return bids, None
         faults = injector.customer_round_masks(
             population_size, announcement.round_number
         )
         suppressed = faults.suppressed
-        bids = self._respond_all(announcement, state, suppressed=suppressed)
+        bids = self._respond_all(
+            announcement, state, suppressed=suppressed, materialise=materialise
+        )
         undelivered = faults.undelivered
         if self._degraded_ever is None:
             self._degraded_ever = undelivered.copy()
         else:
             self._degraded_ever |= undelivered
-        delivered = [
-            bid for bid, lost in zip(bids, undelivered) if not lost and bid is not None
-        ]
         # Mirror the bus's counters: announcements that were permanently lost
         # and bids that were never sent (suppressed customer) or dropped in
         # flight are not traffic; delayed bids were sent and count.
@@ -387,48 +475,7 @@ class FastSession:
             - int(suppressed.sum())
             - int((faults.bid_lost & ~suppressed).sum()),
         )
-        return bids, delivered
-
-    def _exchange_arrays(self, announcement, state: dict) -> Optional[np.ndarray]:
-        """Array-round sibling of :meth:`_exchange`: bids stay numpy state.
-
-        Advances the bid-state arrays (via ``_respond_all(materialise=False)``)
-        and returns the round's ``undelivered`` mask — ``None`` on the
-        fault-free path, where every bid reaches the utility side.  Message
-        counters and the degradation ledger advance exactly as in
-        :meth:`_exchange`; the fault masks are drawn from the same
-        ``(seed, stream, round)`` streams, so an array run and an object run
-        of the same plan see identical faults.
-        """
-        population_size = len(self.population)
-        injector = self.fault_injector
-        if injector is None or not injector.fast_path_faults:
-            self._respond_all(announcement, state, materialise=False)
-            self._count_messages(Performative.ANNOUNCE, population_size)
-            self._count_messages(Performative.BID, population_size)
-            return None
-        faults = injector.customer_round_masks(
-            population_size, announcement.round_number
-        )
-        suppressed = faults.suppressed
-        self._respond_all(
-            announcement, state, suppressed=suppressed, materialise=False
-        )
-        undelivered = faults.undelivered
-        if self._degraded_ever is None:
-            self._degraded_ever = undelivered.copy()
-        else:
-            self._degraded_ever |= undelivered
-        self._count_messages(
-            Performative.ANNOUNCE, population_size - int(faults.announce_lost.sum())
-        )
-        self._count_messages(
-            Performative.BID,
-            population_size
-            - int(suppressed.sum())
-            - int((faults.bid_lost & ~suppressed).sum()),
-        )
-        return undelivered
+        return bids, undelivered
 
     # -- execution -----------------------------------------------------------------
     #
@@ -537,9 +584,21 @@ class FastSession:
         if self._phase != "exchange":
             raise RuntimeError(f"no exchange pending (phase {self._phase!r})")
         if self._array_rounds:
-            self._undelivered = self._exchange_arrays(self._announcement, self._state)
+            _, self._undelivered = self._exchange(
+                self._announcement, self._state, materialise=False
+            )
         else:
-            self._bids, self._delivered = self._exchange(self._announcement, self._state)
+            bids, undelivered = self._exchange(self._announcement, self._state)
+            self._bids = bids
+            self._delivered = (
+                bids
+                if undelivered is None
+                else [
+                    bid
+                    for bid, lost in zip(bids, undelivered)
+                    if not lost and bid is not None
+                ]
+            )
         self._phase = "advance"
 
     def step_advance(self) -> None:
@@ -613,14 +672,14 @@ class FastSession:
 
     # -- array rounds ---------------------------------------------------------------
 
-    def _array_bid_state(self) -> np.ndarray:
-        """The numpy column holding this round's bids, by method."""
+    def _array_bid_key(self) -> str:
+        """The state key of the numpy column holding a round's bids, by method."""
         method = self.scenario.method
         if isinstance(method, RewardTablesMethod):
-            return self._state["cutdowns"]
+            return "cutdowns"
         if isinstance(method, OfferMethod):
-            return self._state["accepts"]
-        return self._state["needs"]
+            return "accepts"
+        return "needs"
 
     def _check_concession_arrays(self, undelivered: Optional[np.ndarray]) -> None:
         """Array sibling of :meth:`_check_bid_concession`.
@@ -659,9 +718,9 @@ class FastSession:
 
         Same order of operations — concession check, round evaluation, round
         record, finish-or-announce — with the round's bids living only as the
-        numpy state arrays.  The round record keeps an empty bid table (array
-        rounds never materialise ``Bid`` objects, so there is nothing to
-        retain); overuse bookkeeping is unaffected.
+        numpy state arrays.  When bids are retained the round record keeps an
+        :class:`ArrayRoundBids` view over the round's bid column, otherwise an
+        empty table; overuse bookkeeping is unaffected.
         """
         context = self._context
         method = self.scenario.method
@@ -671,15 +730,25 @@ class FastSession:
         state = self._state
         undelivered = self._undelivered
         self._check_concession_arrays(undelivered)
-        bid_state = self._array_bid_state()
+        bid_key = self._array_bid_key()
+        bid_state = state[bid_key]
         evaluation = method.evaluate_round_arrays(
             context, announcement, self.population, bid_state, undelivered, round_number
         )
+        bids: Mapping[str, Bid] = {}
+        if self.retain_round_bids:
+            bids = ArrayRoundBids(
+                _BID_BUILDERS[bid_key],
+                announcement.round_number,
+                bid_state,
+                self._customer_rows,
+                undelivered,
+            )
         self.record.rounds.append(
             RoundRecord(
                 round_number=round_number,
                 announcement=announcement,
-                bids={},
+                bids=bids,
                 predicted_overuse_before=(
                     context.initial_overuse
                     if round_number == 0

@@ -24,19 +24,28 @@ PLANNING_MODES: tuple[str, ...] = ("columnar", "scalar")
 
 #: Materialisation modes of the planning → negotiation hand-off:
 #: ``"eager"`` builds per-household ``CustomerSpec`` objects and dict reward
-#: tables (the equivalence oracle), ``"lazy"`` feeds the negotiation kernels
-#: straight from the columnar planning arrays and only materialises objects
-#: if something actually asks for them.
+#: tables (the equivalence oracle), ``"lazy"`` (the default) feeds the
+#: negotiation kernels straight from the columnar planning arrays and only
+#: materialises objects if something actually asks for them.
 MATERIALISE_MODES: tuple[str, ...] = ("eager", "lazy")
+
+#: The one place the default hand-off is defined; every constructor that
+#: takes ``materialise=`` refers to it.
+DEFAULT_MATERIALISE = "lazy"
 
 #: Round-evaluation modes of the negotiation fast path: ``"object"`` builds
 #: per-round ``Bid`` objects and dict round tables (the equivalence oracle),
-#: ``"array"`` keeps a round's bids purely as the numpy state arrays the
-#: kernels already compute and evaluates the round on them — no per-round
-#: object construction at all.  Sessions that cannot take the array path for
-#: a given scenario (non-stock method or policy) fall back to object rounds
-#: and record the effective mode in the result metadata.
+#: ``"array"`` (the default) keeps a round's bids purely as the numpy state
+#: arrays the kernels already compute and evaluates the round on them — a
+#: ``Bid`` is only built when a caller reads a retained round's bids.
+#: Sessions that cannot take the array path for a given scenario (non-stock
+#: method or policy) fall back to object rounds and record the effective
+#: mode in the result metadata.
 ROUNDS_MODES: tuple[str, ...] = ("object", "array")
+
+#: The one place the default round mode is defined; every constructor that
+#: takes ``rounds=`` refers to it.
+DEFAULT_ROUNDS = "array"
 
 
 def validate_planning_mode(planning: str) -> str:

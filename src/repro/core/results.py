@@ -233,7 +233,17 @@ class NegotiationResult:
         return self.record.overuse_trajectory
 
     def customer_bid_trajectory(self, customer: str) -> list[float]:
-        """The cut-down bid by one customer in every round."""
+        """The cut-down bid by one customer in every round.
+
+        Raises :class:`ValueError` when the negotiation ran without retaining
+        its per-round bids (``retain_message_log=False``) instead of
+        reporting a 0.0 bid for every round.
+        """
+        if not self.record.bids_retained:
+            raise ValueError(
+                "per-round bids were not retained for this negotiation; run it "
+                "with retain_message_log=True to read bid trajectories"
+            )
         trajectory = []
         for round_record in self.record.rounds:
             bid = round_record.bids.get(customer)

@@ -121,15 +121,22 @@ class ScalabilityResult:
     def rounds_bounded(self, maximum: int = 60) -> bool:
         return all(entry.result.rounds <= maximum for entry in self.entries)
 
-    def render(self) -> str:
+    def render(self, timings: bool = True) -> str:
+        """The sweep as a text table; ``timings=False`` drops ``wall_seconds``
+        so the report is a pure function of the seed (a tracked artefact
+        then only changes when behaviour does)."""
         labels = {
             "fast": "fast path (vectorized)",
             "object": "object path",
             "sharded": f"sharded runtime ({self.shards} shards)",
         }
         path = labels.get(self.path_label, self.path_label)
+        rows = self.rows()
+        if not timings:
+            for row in rows:
+                del row["wall_seconds"]
         return format_table(
-            self.rows(),
+            rows,
             title=f"E9 — scalability in the number of customers [{path}]",
         )
 

@@ -43,7 +43,7 @@ class RoundRecord:
 
     round_number: int
     announcement: Announcement
-    bids: dict[str, Bid] = field(default_factory=dict)
+    bids: Mapping[str, Bid] = field(default_factory=dict)
     predicted_overuse_before: float = 0.0
     predicted_overuse_after: float = 0.0
 
@@ -71,6 +71,10 @@ class NegotiationRecord:
     rounds: list[RoundRecord] = field(default_factory=list)
     termination_reason: TerminationReason = TerminationReason.NOT_TERMINATED
     final_overuse: Optional[float] = None
+    #: Whether each round's ``bids`` table was kept.  ``False`` when the
+    #: batched backends ran with ``retain_message_log=False``: the rounds'
+    #: bid tables are then empty, not a record of silence.
+    bids_retained: bool = True
 
     @property
     def num_rounds(self) -> int:

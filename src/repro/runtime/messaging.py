@@ -20,6 +20,7 @@ receiver.
 from __future__ import annotations
 
 import itertools
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -216,11 +217,9 @@ class MessageBus:
         self._observers: list[Callable[[Message], None]] = []
         self._total_sent = 0
         self._performative_counts: dict[Performative, int] = {}
-        #: Seqlock version for :meth:`counters_snapshot`: odd while a counter
-        #: update is in flight, even when the counters are consistent.  The
-        #: write side is two integer increments, so the engine hot path pays
-        #: nothing measurable for cross-thread snapshot consistency.
-        self._counters_version = 0
+        #: Guards the two traffic counters so :meth:`counters_snapshot` never
+        #: sees one updated without the other.
+        self._counters_lock = threading.Lock()
         self._injector = fault_injector
         #: Delayed messages as ``[rounds_remaining, message]`` pairs, released
         #: by :meth:`release_delayed` once their hold expires.
@@ -323,12 +322,11 @@ class MessageBus:
 
     def _record(self, stamped: Message) -> None:
         """Streaming bookkeeping for one sent message."""
-        self._counters_version += 1
-        self._total_sent += 1
         counts = self._performative_counts
         performative = stamped.performative
-        counts[performative] = counts.get(performative, 0) + 1
-        self._counters_version += 1
+        with self._counters_lock:
+            self._total_sent += 1
+            counts[performative] = counts.get(performative, 0) + 1
         if self._retain_log:
             self._log.append(stamped)
         for observer in self._observers:
@@ -386,11 +384,10 @@ class MessageBus:
             mailbox._queue.append(stamped)
             sent.append(stamped)
         if sent:
-            self._counters_version += 1
-            self._total_sent += len(sent)
             counts = self._performative_counts
-            counts[performative] = counts.get(performative, 0) + len(sent)
-            self._counters_version += 1
+            with self._counters_lock:
+                self._total_sent += len(sent)
+                counts[performative] = counts.get(performative, 0) + len(sent)
             if self._retain_log:
                 self._log.extend(sent)
             if self._observers:
@@ -444,35 +441,13 @@ class MessageBus:
 
         Returns ``(total_sent, per_performative_histogram)`` such that the
         total equals the sum of the histogram — even when another thread is
-        concurrently sending through the bus.  This is the read side of a
-        seqlock: counter updates bump :attr:`_counters_version` to odd before
-        mutating and back to even after, and the reader retries until it
-        observes one even version across the whole copy.  The engine loop
-        stays lock-free; a serving layer streaming round progress from
+        concurrently sending through the bus.  Counter updates and this copy
+        hold the same lock, so a serving layer streaming round progress from
         another thread uses this instead of racing
         :meth:`message_count` / :meth:`messages_by_performative`.
-
-        The spin is bounded; if the writer outruns the reader for the whole
-        budget (pathological), the last copy is returned as a best effort —
-        under CPython's GIL each retry still sees a *memory-safe* copy, it
-        just may mix two updates.
         """
-        total = self._total_sent
-        counts = dict(self._performative_counts)
-        for _ in range(1000):
-            before = self._counters_version
-            if before & 1:
-                continue
-            try:
-                total = self._total_sent
-                counts = dict(self._performative_counts)
-            except RuntimeError:
-                # The histogram resized mid-copy; the version check below
-                # would reject this read anyway.
-                continue
-            if self._counters_version == before:
-                return total, counts
-        return total, counts
+        with self._counters_lock:
+            return self._total_sent, dict(self._performative_counts)
 
     def conversation(self, conversation_id: str) -> list[Message]:
         """All *retained* messages belonging to one conversation, in send order."""
@@ -481,7 +456,6 @@ class MessageBus:
     def clear_log(self) -> None:
         """Drop the message log and counters (mailbox contents are untouched)."""
         self._log.clear()
-        self._counters_version += 1
-        self._total_sent = 0
-        self._performative_counts.clear()
-        self._counters_version += 1
+        with self._counters_lock:
+            self._total_sent = 0
+            self._performative_counts.clear()

@@ -58,12 +58,13 @@ CHAOS_PLAN = FaultPlan(
 
 
 def assert_array_equivalent(object_result, array_result) -> None:
-    """Field-by-field equality, modulo the round bid tables.
+    """Field-by-field equality, round bid tables included.
 
-    Array rounds never retain per-round ``Bid`` objects (``record.rounds[i]
-    .bids`` is empty by design), so the comparison covers everything else:
-    announcements, the overuse trajectory, counters, termination, rewards
-    and the full per-customer outcome mapping.
+    Array rounds retain each round's bids as a lazy view over the round's
+    bid-state column; comparing it to the object round's dict builds every
+    ``Bid`` and checks it, together with the announcements, the overuse
+    trajectory, counters, termination, rewards and the full per-customer
+    outcome mapping.
     """
     assert array_result.metadata["rounds_mode"] == "array"
     assert object_result.metadata["rounds_mode"] == "object"
@@ -86,7 +87,7 @@ def assert_array_equivalent(object_result, array_result) -> None:
         object_result.record.rounds, array_result.record.rounds
     ):
         assert array_round.announcement == object_round.announcement
-        assert array_round.bids == {}
+        assert array_round.bids == object_round.bids
         assert (
             array_round.predicted_overuse_before
             == object_round.predicted_overuse_before
@@ -159,7 +160,7 @@ class TestArrayObjectEquivalence:
         requested = FastSession(make(), seed=0, rounds="array")
         requested_result = requested.run()
         assert requested_result.metadata["rounds_mode"] == "object"
-        baseline_result = FastSession(make(), seed=0).run()
+        baseline_result = FastSession(make(), seed=0, rounds="object").run()
         assert requested_result.customer_outcomes == baseline_result.customer_outcomes
         assert requested_result.total_reward_paid == baseline_result.total_reward_paid
 
@@ -208,7 +209,7 @@ class TestShardedArrayRounds:
         def make():
             return synthetic_scenario(num_households=64, seed=6)
 
-        object_result = FastSession(make(), seed=0).run()
+        object_result = FastSession(make(), seed=0, rounds="object").run()
         sharded = ShardedSession(make(), seed=0, shards=4, rounds="array")
         array_result = sharded.run()
         assert sharded.num_shards == 4
@@ -230,6 +231,79 @@ class TestShardedArrayRounds:
         sharded_result = sharded.run()
         assert sharded_result.customer_outcomes == solo_result.customer_outcomes
         assert sharded_result.degraded_households == solo_result.degraded_households
+
+
+class TestLibraryDefaults:
+    """``EngineConfig()`` runs array rounds; fallbacks and dropped bids stay visible."""
+
+    def test_default_config_runs_array_rounds(self):
+        assert EngineConfig().rounds == "array"
+        result = run(paper_prototype_scenario(), backend="vectorized")
+        assert result.metadata["rounds_mode"] == "array"
+        assert result.record.bids_retained
+        assert result.customer_bid_trajectory("c000") == pytest.approx(
+            [0.2, 0.4, 0.4]
+        )
+
+    def test_non_stock_policy_falls_back_under_default_config(self):
+        def make():
+            return synthetic_scenario(
+                num_households=10,
+                seed=3,
+                method=RewardTablesMethod(
+                    max_reward=60.0,
+                    beta_controller=ConstantBeta(2.0),
+                    acceptance_policy=SelectiveBidAcceptance(safety_margin=0.05),
+                ),
+            )
+
+        result = run(make(), backend="vectorized", config=EngineConfig())
+        assert result.metadata["rounds_mode"] == "object"
+        reference = run(make(), backend="object")
+        for reference_round, fallback_round in zip(
+            reference.record.rounds, result.record.rounds
+        ):
+            assert fallback_round.bids == reference_round.bids
+        assert result.customer_outcomes == reference.customer_outcomes
+
+    @pytest.mark.parametrize("rounds", ["array", "object"])
+    def test_unretained_bids_are_empty_and_say_so(self, rounds):
+        result = run(
+            synthetic_scenario(num_households=20, seed=3),
+            backend="vectorized",
+            config=EngineConfig(retain_message_log=False, rounds=rounds),
+        )
+        assert result.metadata["rounds_mode"] == rounds
+        assert result.rounds >= 1
+        assert all(round_record.bids == {} for round_record in result.record.rounds)
+        assert result.record.bids_retained is False
+        with pytest.raises(ValueError, match="retain_message_log"):
+            result.customer_bid_trajectory(next(iter(result.customer_outcomes)))
+
+    def test_round_bids_view_keys_follow_delivery(self):
+        def make():
+            return synthetic_scenario(num_households=40, seed=9)
+
+        object_result, array_result = run_both_modes(make, fault_plan=CHAOS_PLAN)
+        for object_round, array_round in zip(
+            object_result.record.rounds, array_result.record.rounds
+        ):
+            bids = array_round.bids
+            assert list(bids) == list(object_round.bids)
+            assert len(bids) == len(object_round.bids)
+            assert bids.get("no-such-customer") is None
+            lost = [
+                customer
+                for customer in array_result.customer_outcomes
+                if customer not in object_round.bids
+            ]
+            for customer in lost:
+                with pytest.raises(KeyError):
+                    bids[customer]
+        assert any(
+            len(round_record.bids) < len(array_result.customer_outcomes)
+            for round_record in array_result.record.rounds
+        ), "the chaos plan must drop at least one bid for this test to bite"
 
 
 # -- the lazy columnar view ---------------------------------------------------------
@@ -342,10 +416,14 @@ class TestArrayRoundsAllocateNoBids:
         def make():
             return synthetic_scenario(num_households=50, seed=4, method=factory())
 
-        object_result = FastSession(make(), seed=0).run()
+        object_result = FastSession(make(), seed=0, rounds="object").run()
         object_constructions = constructions["count"]
         assert object_constructions > 0  # the oracle pays per-round objects
         constructions["count"] = 0
         array_result = FastSession(make(), seed=0, rounds="array").run()
         assert constructions["count"] == 0
+        # A retained round's bids are built one at a time, on read.
+        first_round = array_result.record.rounds[0].bids
+        first_round[next(iter(first_round))]
+        assert constructions["count"] == 1
         assert_array_equivalent(object_result, array_result)

@@ -252,7 +252,8 @@ class TestLazyMaterialisationEquivalence:
         assert result.metadata["materialise"] == "lazy"
         assert result.metadata["history_window"] == 5
         default = run_small_campaign("auto")
-        assert default.metadata["materialise"] == "eager"
+        assert default.metadata["materialise"] == "lazy"
+        assert default.metadata["rounds"] == "array"
         assert default.metadata["history_window"] is None
 
 

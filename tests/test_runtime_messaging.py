@@ -257,12 +257,23 @@ class TestCountersSnapshotConcurrency:
         assert total == bus.message_count() == 4
         assert counts == bus.messages_by_performative()
 
-    def test_snapshot_is_consistent_under_concurrent_sends(self):
+    @pytest.mark.parametrize("switch_interval", [None, 1e-4])
+    def test_snapshot_is_consistent_under_concurrent_sends(
+        self, switch_interval, request
+    ):
         # The serving layer polls these counters from a different thread than
         # the one running the negotiation.  Every snapshot must be internally
         # consistent: the total equals the histogram's sum even while the
-        # writer is mid-burst (the seqlock retries torn reads).
+        # writer is mid-burst (updates and snapshots share one lock).  A tiny
+        # GIL switch interval preempts the writer mid-update far more often,
+        # which is what exposes a torn read.
+        import sys
         import threading
+
+        if switch_interval is not None:
+            previous = sys.getswitchinterval()
+            sys.setswitchinterval(switch_interval)
+            request.addfinalizer(lambda: sys.setswitchinterval(previous))
 
         bus = MessageBus(retain_log=False)
         for name in ("utility", "c0", "c1", "c2"):

@@ -639,6 +639,7 @@ class FastSession:
                 round_number=round_number,
                 announcement=announcement,
                 bids=dict(bids_by_customer) if self.retain_round_bids else {},
+                bids_retained=self.retain_round_bids,
                 predicted_overuse_before=(
                     context.initial_overuse
                     if round_number == 0
@@ -749,6 +750,7 @@ class FastSession:
                 round_number=round_number,
                 announcement=announcement,
                 bids=bids,
+                bids_retained=self.retain_round_bids,
                 predicted_overuse_before=(
                     context.initial_overuse
                     if round_number == 0

@@ -327,21 +327,29 @@ def run_campaign_bench(
     )
 
 
-def render_entry(entry: CampaignBenchEntry) -> str:
+def render_entry(entry: CampaignBenchEntry, timings: bool = True) -> str:
+    """The campaign as a text report; ``timings=False`` drops the wall-clock
+    and traced-memory lines so the report is a pure function of the seed (a
+    tracked artefact then only changes when behaviour does)."""
     row = entry.as_row()
     lines = [
         f"campaign — {row['num_households']} households, {row['num_days']} days "
         f"(town={row['town']}, backend={row['backend']}, planning={row['planning']}, "
         f"materialise={row['materialise']}, history_window={row['history_window']}, "
         f"rounds={row['rounds']})",
-        f"wall_seconds: {row['wall_seconds']:.2f}",
-        f"planning_seconds: {row['planning_seconds']:.2f}",
-        f"negotiation_seconds: {row['negotiation_seconds']:.2f}",
+    ]
+    if timings:
+        lines += [
+            f"wall_seconds: {row['wall_seconds']:.2f}",
+            f"planning_seconds: {row['planning_seconds']:.2f}",
+            f"negotiation_seconds: {row['negotiation_seconds']:.2f}",
+        ]
+    lines += [
         f"days_negotiated: {row['days_negotiated']}",
         f"total_reward_paid: {row['total_reward_paid']:.2f}",
         f"total_net_benefit: {row['total_net_benefit']:.2f}",
     ]
-    if entry.peak_traced_mb is not None:
+    if timings and entry.peak_traced_mb is not None:
         lines.append(f"peak_traced_mb: {entry.peak_traced_mb:.1f}")
     for day, backend in zip(entry.result.days, row["backends"]):
         lines.append(

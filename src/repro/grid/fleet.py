@@ -17,6 +17,18 @@ are packed into numpy arrays once, and the per-household quantities come out
 of batched kernels — ``demand_profiles``, ``energy_in``, ``saveable_energy``
 and ``max_cutdown_fractions``.
 
+**One appliance pass per planned day.**  All of these rest on one private
+pass that streams the appliances over row blocks of 4096 households: per
+block, each appliance's ``(S, block)`` power is computed into a reused
+buffer and folded into three accumulators — the ``(N, S)`` demand matrix,
+the interval energy and the saveable energy.  Temporaries are O(block·S),
+never O(A·N·S).  The demand matrix is cached per heating factor and the two
+interval vectors per ``(heating factor, interval slots)``, so a day's
+``energy_in`` → ``saveable_energy`` → ``demand_profiles`` sequence streams
+the appliances once.  Cached arrays are read-only; ``energy_in`` and
+``saveable_energy`` hand out copies, so a caller mutating its result never
+reaches the cache that other callers (and other serving threads) share.
+
 **Exactness contract.**  Every kernel mirrors the scalar code in
 :class:`~repro.grid.household.Household` and
 :class:`~repro.grid.appliances.Appliance` operation-for-operation (same float
@@ -56,13 +68,19 @@ from repro.runtime.clock import TimeInterval
 #: heating factor, mirroring :meth:`Appliance.daily_profile`).
 _HEATING_CATEGORIES = (ApplianceCategory.SPACE_HEATING, ApplianceCategory.WATER_HEATING)
 
-#: Per-fleet cache bound on the weather-keyed demand matrices.  A campaign
-#: touches one heating factor per day; a handful of slots covers the planner's
-#: predict/plan/account calls for that day without unbounded growth.  Only the
-#: (N, S) demand matrix is retained per factor — the per-appliance power
-#: matrices, an order of magnitude more memory (A·N·S), are streamed and
-#: never cached, keeping a 100k-household fleet's footprint to O(N·S).
+#: Per-fleet FIFO bound on each kernel cache: the weather-keyed ``(N, S)``
+#: demand matrices and the ``(heating factor, interval slots)``-keyed energy
+#: and saveable vectors.  A campaign touches one heating factor and one peak
+#: interval per day; a handful of entries covers the planner's plan/account/
+#: observe calls for that day without unbounded growth.  The per-appliance
+#: powers are never materialised beyond one ``(S, block)`` buffer, so a
+#: 100k-household fleet's footprint stays O(N·S).
 _WEATHER_CACHE_SIZE = 4
+
+#: Row-block height of the appliance pass.  Its ``(S, block)`` power and
+#: accumulator buffers (768 KiB each at 24 slots) stay cache-resident while
+#: each appliance's contribution is folded into the block.
+_BLOCK_ROWS = 4096
 
 
 class FleetIncompatibleError(ValueError):
@@ -76,6 +94,31 @@ def _interval_slot_indices(interval: TimeInterval, slots_per_day: int) -> list[i
             f"fleet resolution {slots_per_day}"
         )
     return [slot.index for slot in interval.slots()]
+
+
+def _interval_energy(
+    block: np.ndarray, indices: Sequence[int], slot_hours: float, out: np.ndarray
+) -> np.ndarray:
+    """Per-household interval energy of a slot-major ``(S, rows)`` block into
+    ``out``, with the summation order of :meth:`LoadProfile.energy_in`
+    (slot by slot, then x slot hours)."""
+    out.fill(0.0)
+    for index in indices:
+        np.add(out, block[index], out=out)
+    return np.multiply(out, slot_hours, out=out)
+
+
+def _fifo_put(cache: dict, key, value) -> None:
+    """Insert into a FIFO-bounded kernel cache.
+
+    Fleets are shared across serving threads through the population cache;
+    ``list(cache)`` snapshots the keys in one step and ``pop`` tolerates a
+    racing eviction, so concurrent fills never raise.
+    """
+    keys = list(cache)
+    if len(keys) >= _WEATHER_CACHE_SIZE:
+        cache.pop(keys[0], None)
+    cache[key] = value
 
 
 class HouseholdFleet:
@@ -204,6 +247,9 @@ class HouseholdFleet:
         #: Weather-keyed demand-matrix cache (heating factor -> (N, S) array),
         #: FIFO-bounded.
         self._demand_cache: dict[float, np.ndarray] = {}
+        #: (heating factor, interval slot indices) -> read-only
+        #: (energy_in, saveable_energy) vectors, FIFO-bounded.
+        self._interval_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- basic views -------------------------------------------------------------
 
@@ -220,69 +266,133 @@ class HouseholdFleet:
 
     # -- kernels -----------------------------------------------------------------
 
-    def _appliance_powers(self, heating_factor: float):
-        """Per-appliance ``(N, S)`` power matrices, mirroring ``daily_profile``.
+    def _appliance_pass(
+        self, heating_factor: float, indices: Optional[tuple[int, ...]] = None
+    ) -> tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
+        """One blocked pass over the appliances, mirroring the scalar path.
 
-        A generator: callers accumulate one appliance at a time, so only one
-        ``(N, S)`` intermediate is ever alive — the full ``A`` matrices at
-        once would cost hundreds of MB for a 100k-household fleet, which is
-        why they are streamed rather than cached.
+        Streams every appliance's power over row blocks of
+        :data:`_BLOCK_ROWS` households and accumulates, per block, the
+        ``(N, S)`` demand matrix and — when ``indices`` names an interval's
+        slots — the per-household interval energy and saveable energy.
+        Temporaries are ``(S, block)`` or ``(block,)`` buffers written in
+        place; slot-major blocks keep every inner loop contiguous over
+        households, and each finished block is transposed into the demand
+        matrix once.  The float operations per element are those of
+        :meth:`Appliance.daily_profile`, :meth:`LoadProfile.energy_in` and
+        :meth:`Household.saveable_energy`, in the same order.
         """
+        households = len(self.households)
         slot_hours = 24.0 / self.slots_per_day
-        for column in range(self.num_appliances):
-            # Same multiplication order as Appliance.daily_profile: base
-            # energy x ownership scale, then x household size (per-person
-            # appliances), then x heating factor (heating categories).
-            energy = self._daily_energies[column] * self.ownership[:, column]
-            if self._per_person[column]:
-                energy = energy * self.sizes
-            if self._heating[column]:
-                energy = energy * heating_factor
-            per_slot = self._slot_weights[column][None, :] * energy[:, None]
-            power = per_slot / slot_hours
-            yield column, np.minimum(power, self._caps[column][:, None])
+        total = np.empty((households, self.slots_per_day))
+        energy = saveable = None
+        if indices is not None:
+            energy = np.empty(households)
+            saveable = np.zeros(households)
+        height = min(_BLOCK_ROWS, households)
+        power_buffer = np.empty((self.slots_per_day, height))
+        block_buffer = np.empty((self.slots_per_day, height))
+        scaled_buffer = np.empty(height)
+        part_buffer = np.empty(height)
+        for start in range(0, households, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, households)
+            power = power_buffer[:, : stop - start]
+            block = block_buffer[:, : stop - start]
+            scaled = scaled_buffer[: stop - start]
+            part = part_buffer[: stop - start]
+            block.fill(0.0)
+            for column in range(self.num_appliances):
+                # Same multiplication order as Appliance.daily_profile: base
+                # energy x ownership scale, then x household size (per-person
+                # appliances), then x heating factor (heating categories).
+                np.multiply(
+                    self._daily_energies[column], self.ownership[start:stop, column],
+                    out=scaled,
+                )
+                if self._per_person[column]:
+                    np.multiply(scaled, self.sizes[start:stop], out=scaled)
+                if self._heating[column]:
+                    np.multiply(scaled, heating_factor, out=scaled)
+                np.multiply(self._slot_weights[column][:, None], scaled, out=power)
+                np.divide(power, slot_hours, out=power)
+                np.minimum(power, self._caps[column, start:stop], out=power)
+                # Sequential accumulation in column order matches the scalar
+                # LoadProfile.aggregate over owned appliances (adding an
+                # unowned appliance's exact 0.0 contribution preserves every
+                # bit).
+                np.add(block, power, out=block)
+                if indices is not None:
+                    # Appliance.saveable_energy x household flexibility scale.
+                    _interval_energy(power, indices, slot_hours, out=part)
+                    np.multiply(part, self._flexibilities[column], out=part)
+                    np.multiply(part, self.flexibility_scales[start:stop], out=part)
+                    np.add(saveable[start:stop], part, out=saveable[start:stop])
+            total[start:stop] = block.T
+            if indices is not None:
+                _interval_energy(block, indices, slot_hours, out=energy[start:stop])
+        return total, energy, saveable
 
     def demand_profiles(self, weather: Optional[WeatherSample] = None) -> np.ndarray:
         """``(N, S)`` matrix of per-household daily demand (kW per slot).
 
         Row ``i`` is bit-identical to
-        ``households[i].demand_profile(weather).as_array()``.
+        ``households[i].demand_profile(weather).as_array()``.  The matrix is
+        cached per heating factor and read-only.
         """
         factor = self.heating_factor(weather)
         cached = self._demand_cache.get(factor)
         if cached is not None:
             return cached
-        total = np.zeros((len(self.households), self.slots_per_day))
-        for __, power in self._appliance_powers(factor):
-            # Sequential accumulation in library order matches the scalar
-            # LoadProfile.aggregate over owned appliances (adding an unowned
-            # appliance's exact 0.0 contribution preserves every bit).
-            total = total + power
+        total, __, __ = self._appliance_pass(factor)
+        return self._cache_demand(factor, total)
+
+    def _cache_demand(self, factor: float, total: np.ndarray) -> np.ndarray:
+        """Store ``total`` as the read-only demand matrix of ``factor``.
+
+        An entry already cached for ``factor`` wins (it holds the same
+        bits), so repeated calls keep returning one object.
+        """
+        cached = self._demand_cache.get(factor)
+        if cached is not None:
+            return cached
         total.setflags(write=False)
-        if len(self._demand_cache) >= _WEATHER_CACHE_SIZE:
-            self._demand_cache.pop(next(iter(self._demand_cache)))
-        self._demand_cache[factor] = total
+        _fifo_put(self._demand_cache, factor, total)
         return total
+
+    def _interval_energies(
+        self, interval: TimeInterval, weather: Optional[WeatherSample]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Cached read-only ``(energy_in, saveable_energy)`` for one interval.
+
+        A miss runs the one appliance pass, which also fills the demand
+        cache, so a planned day (energy, saveable, then demand profiles)
+        streams the appliances once.
+        """
+        indices = tuple(_interval_slot_indices(interval, self.slots_per_day))
+        factor = self.heating_factor(weather)
+        key = (factor, indices)
+        cached = self._interval_cache.get(key)
+        if cached is not None:
+            return cached
+        total, energy, saveable = self._appliance_pass(factor, indices)
+        self._cache_demand(factor, total)
+        energy.setflags(write=False)
+        saveable.setflags(write=False)
+        _fifo_put(self._interval_cache, key, (energy, saveable))
+        return energy, saveable
 
     def aggregate_demand(self, weather: Optional[WeatherSample] = None) -> LoadProfile:
         """Population aggregate profile; equals summing the per-household profiles."""
         return LoadProfile.from_array(self.demand_profiles(weather).sum(axis=0))
 
-    @staticmethod
-    def _interval_energy(matrix: np.ndarray, indices: Sequence[int], slot_hours: float) -> np.ndarray:
-        """Per-row interval energy with the scalar path's summation order."""
-        total = np.zeros(matrix.shape[0])
-        for index in indices:
-            total = total + matrix[:, index]
-        return total * slot_hours
-
     def energy_in(
         self, interval: TimeInterval, weather: Optional[WeatherSample] = None
     ) -> np.ndarray:
-        """Per-household energy (kWh) used during the interval (``(N,)``)."""
-        indices = _interval_slot_indices(interval, self.slots_per_day)
-        slot_hours = 24.0 / self.slots_per_day
-        return self._interval_energy(self.demand_profiles(weather), indices, slot_hours)
+        """Per-household energy (kWh) used during the interval (``(N,)``).
+
+        A fresh array: callers may mutate it without touching the cache.
+        """
+        return self._interval_energies(interval, weather)[0].copy()
 
     def average_in(
         self, interval: TimeInterval, weather: Optional[WeatherSample] = None
@@ -298,17 +408,11 @@ class HouseholdFleet:
 
         What the Resource Consumer Agents report upward: each appliance's
         interval energy times its flexibility, scaled by the household's
-        flexibility scale, accumulated in library order like the scalar
-        :meth:`Household.saveable_energy`.
+        flexibility scale, accumulated in column order like the scalar
+        :meth:`Household.saveable_energy`.  A fresh array, like
+        :meth:`energy_in`.
         """
-        indices = _interval_slot_indices(interval, self.slots_per_day)
-        slot_hours = 24.0 / self.slots_per_day
-        factor = self.heating_factor(weather)
-        total = np.zeros(len(self.households))
-        for column, power in self._appliance_powers(factor):
-            energy = self._interval_energy(power, indices, slot_hours)
-            total = total + (energy * self._flexibilities[column]) * self.flexibility_scales
-        return total
+        return self._interval_energies(interval, weather)[1].copy()
 
     def max_cutdown_fractions(
         self,
@@ -321,12 +425,8 @@ class HouseholdFleet:
         ``demand_energies`` lets callers that already hold
         ``energy_in(interval, weather)`` skip recomputing it.
         """
-        demand = (
-            demand_energies
-            if demand_energies is not None
-            else self.energy_in(interval, weather)
-        )
-        saveable = self.saveable_energy(interval, weather)
+        energy, saveable = self._interval_energies(interval, weather)
+        demand = demand_energies if demand_energies is not None else energy
         with np.errstate(divide="ignore", invalid="ignore"):
             fractions = np.minimum(1.0, saveable / demand)
         return np.where(demand > 0, fractions, 0.0)
@@ -435,9 +535,7 @@ class BucketedFleet:
         for rows, bucket in self.buckets:
             total[rows] = bucket.demand_profiles(weather)
         total.setflags(write=False)
-        if len(self._demand_cache) >= _WEATHER_CACHE_SIZE:
-            self._demand_cache.pop(next(iter(self._demand_cache)))
-        self._demand_cache[factor] = total
+        _fifo_put(self._demand_cache, factor, total)
         return total
 
     def aggregate_demand(self, weather: Optional[WeatherSample] = None) -> LoadProfile:

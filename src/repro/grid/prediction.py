@@ -224,6 +224,24 @@ class ConsumptionPredictor:
         indices = (self._start + np.arange(self._num_days)) % capacity
         return self._buffer[indices]
 
+    def _weighted_average(self, weights: np.ndarray) -> np.ndarray:
+        """``np.average(history, axis=0, weights=weights)``, streamed.
+
+        Walks the ring rows oldest first, accumulating ``row x weight`` into
+        one ``(N, S)`` array, then divides by ``weights.sum()`` — the float
+        operations of ``np.average``'s axis-0 reduction in the same order,
+        so the result is bit-identical without the ``(W, N, S)``
+        chronological copy and product temporary.
+        """
+        capacity = self._buffer.shape[0]
+        rows = [(self._start + day) % capacity for day in range(self._num_days)]
+        total = np.multiply(self._buffer[rows[0]], weights[0])
+        term = np.empty_like(total)
+        for row, weight in zip(rows[1:], weights[1:]):
+            np.multiply(self._buffer[row], weight, out=term)
+            np.add(total, term, out=total)
+        return np.divide(total, weights.sum(), out=total)
+
     # -- prediction -----------------------------------------------------------
 
     def predict_columnar(
@@ -238,12 +256,10 @@ class ConsumptionPredictor:
         """
         if self._num_days == 0:
             raise ValueError("cannot predict without any observed history")
-        weights = self._weights()
-        history = self._chronological_history()
-        matrix = np.average(history, axis=0, weights=weights)
+        matrix = self._weighted_average(self._weights())
         adjustment = self._weather_adjustment(forecast_weather)
         if adjustment != 1.0:
-            matrix = matrix * adjustment
+            np.multiply(matrix, adjustment, out=matrix)
         matrix.setflags(write=False)
         aggregate = LoadProfile.from_array(matrix.sum(axis=0))
         return FleetPrediction(

@@ -46,10 +46,23 @@ class RoundRecord:
     bids: Mapping[str, Bid] = field(default_factory=dict)
     predicted_overuse_before: float = 0.0
     predicted_overuse_after: float = 0.0
+    #: Whether ``bids`` holds the round's bid table.  ``False`` when the
+    #: batched backends ran with ``retain_message_log=False``: ``bids`` is
+    #: then empty, not a record of silence.
+    bids_retained: bool = True
 
     @property
     def participation(self) -> float:
-        """Fraction of bids committing to a positive cut-down/response."""
+        """Fraction of bids committing to a positive cut-down/response.
+
+        Raises :class:`ValueError` when the round's bids were not retained
+        instead of reporting zero participation.
+        """
+        if not self.bids_retained:
+            raise ValueError(
+                "per-round bids were not retained for this negotiation; run it "
+                "with retain_message_log=True to read round participation"
+            )
         if not self.bids:
             return 0.0
         positive = 0

@@ -280,6 +280,29 @@ class TestLibraryDefaults:
         with pytest.raises(ValueError, match="retain_message_log"):
             result.customer_bid_trajectory(next(iter(result.customer_outcomes)))
 
+    @pytest.mark.parametrize("rounds", ["array", "object"])
+    def test_unretained_rounds_refuse_participation(self, rounds):
+        def make():
+            return synthetic_scenario(num_households=20, seed=3)
+
+        unretained = run(
+            make(),
+            backend="vectorized",
+            config=EngineConfig(retain_message_log=False, rounds=rounds),
+        )
+        assert unretained.rounds >= 1
+        for round_record in unretained.record.rounds:
+            assert round_record.bids_retained is False
+            with pytest.raises(ValueError, match="retain_message_log"):
+                round_record.participation
+        retained = run(
+            make(), backend="vectorized", config=EngineConfig(rounds=rounds)
+        )
+        reference = run(make(), backend="object")
+        assert [r.participation for r in retained.record.rounds] == [
+            r.participation for r in reference.record.rounds
+        ]
+
     def test_round_bids_view_keys_follow_delivery(self):
         def make():
             return synthetic_scenario(num_households=40, seed=9)

@@ -454,3 +454,212 @@ class TestBucketedFleet:
         model = DemandModel(mixed_households[:3] + [odd], RandomSource(5, "d"))
         assert model._fleet is None
         assert "resolution" in model.fallback_reason
+
+
+# -- the blocked appliance pass ---------------------------------------------------
+
+from repro.grid import fleet as fleet_module  # noqa: E402
+
+BLOCK = fleet_module._BLOCK_ROWS
+PASS_INTERVALS = [
+    TimeInterval.from_hours(18, 19),  # one slot
+    TimeInterval.from_hours(16, 22),  # six slots
+    TimeInterval.from_hours(0, 24),  # the whole day
+]
+PASS_WEATHERS = [
+    None,  # heating factor 1.0
+    WeatherSample(temperature_c=13.0, condition=WeatherCondition.MILD),
+    WeatherSample(temperature_c=-18.0, condition=WeatherCondition.SEVERE_COLD),
+]
+
+
+def _scalar_rows(pool, weather):
+    """Per distinct household: demand bytes and, per interval, the scalar
+    energy, saveable energy and max cut-down fraction."""
+    rows = []
+    for household in pool:
+        demand = household.demand_profile(weather)
+        per_interval = [
+            (
+                demand.energy_in(interval),
+                household.saveable_energy(interval, weather),
+                household.max_cutdown_fraction(interval, weather),
+            )
+            for interval in PASS_INTERVALS
+        ]
+        rows.append((demand.as_array().tobytes(), per_interval))
+    return rows
+
+
+def _assert_fleet_matches_scalar(packed, pool, size):
+    """Row ``i`` of a fleet cycling ``pool`` must equal ``pool[i % len]``'s
+    scalar path, bit for bit, at every interval and heating factor."""
+    for weather in PASS_WEATHERS:
+        expected = _scalar_rows(pool, weather)
+        for position, interval in enumerate(PASS_INTERVALS):
+            energies = packed.energy_in(interval, weather)
+            saveable = packed.saveable_energy(interval, weather)
+            fractions = packed.max_cutdown_fractions(interval, weather)
+            for row in range(size):
+                energy, save, fraction = expected[row % len(pool)][1][position]
+                assert energies[row] == energy, (row, weather, interval)
+                assert saveable[row] == save, (row, weather, interval)
+                assert fractions[row] == fraction, (row, weather, interval)
+        matrix = packed.demand_profiles(weather)
+        for row in range(size):
+            assert matrix[row].tobytes() == expected[row % len(pool)][0], (row, weather)
+
+
+@pytest.fixture(scope="module")
+def pool(households):
+    return households[:37]
+
+
+class TestAppliancePass:
+    """The blocked pass is bit-identical to the per-household scalar path
+    at every block boundary, interval length and heating factor."""
+
+    @pytest.mark.parametrize("size", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    def test_household_fleet_matches_scalar(self, pool, size):
+        members = [pool[row % len(pool)] for row in range(size)]
+        _assert_fleet_matches_scalar(HouseholdFleet(members), pool, size)
+
+    def test_bucketed_fleet_matches_scalar(self, mixed_households):
+        # Over-weight the generated (library-ordered) signature so its
+        # bucket spans more than one row block.
+        mix = mixed_households + 4 * mixed_households[::3]
+        size = 2 * BLOCK + 3
+        members = [mix[row % len(mix)] for row in range(size)]
+        packed = pack_fleet(members)
+        assert isinstance(packed, BucketedFleet)
+        assert any(len(rows) > BLOCK for rows, __ in packed.buckets)
+        _assert_fleet_matches_scalar(packed, mix, size)
+
+    def test_planned_day_runs_one_appliance_pass(self, households, monkeypatch):
+        calls = []
+        original = HouseholdFleet._appliance_pass
+
+        def spy(self, *args, **kwargs):
+            calls.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(HouseholdFleet, "_appliance_pass", spy)
+        packed = HouseholdFleet(households)
+        weather = PASS_WEATHERS[2]
+        interval = PASS_INTERVALS[1]
+        energies = packed.energy_in(interval, weather)
+        packed.max_cutdown_fractions(interval, weather, demand_energies=energies)
+        packed.saveable_energy(interval, weather)
+        packed.demand_profiles(weather)
+        packed.demand_profiles(weather)
+        assert len(calls) == 1
+
+    def test_bucketed_planned_day_runs_one_pass_per_bucket(
+        self, mixed_households, monkeypatch
+    ):
+        calls = []
+        original = HouseholdFleet._appliance_pass
+
+        def spy(self, *args, **kwargs):
+            calls.append(id(self))
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(HouseholdFleet, "_appliance_pass", spy)
+        packed = BucketedFleet(mixed_households)
+        weather = PASS_WEATHERS[1]
+        interval = PASS_INTERVALS[0]
+        packed.energy_in(interval, weather)
+        packed.saveable_energy(interval, weather)
+        packed.demand_profiles(weather)
+        packed.demand_profiles(weather)
+        assert sorted(calls) == sorted(id(bucket) for __, bucket in packed.buckets)
+
+
+class TestKernelResultsDoNotAliasCaches:
+    """A caller mutating a kernel result must never change what later calls
+    (other requests sharing a cached fleet) read."""
+
+    @pytest.mark.parametrize("layout", ["single", "bucketed"])
+    def test_mutating_results_leaves_later_calls_unchanged(
+        self, layout, households, mixed_households
+    ):
+        packed = (
+            HouseholdFleet(households)
+            if layout == "single"
+            else BucketedFleet(mixed_households)
+        )
+        weather = PASS_WEATHERS[2]
+        interval = PASS_INTERVALS[1]
+
+        def snapshot():
+            return (
+                packed.energy_in(interval, weather).tobytes(),
+                packed.saveable_energy(interval, weather).tobytes(),
+                packed.demand_profiles(weather).tobytes(),
+                packed.max_cutdown_fractions(interval, weather).tobytes(),
+                packed.average_in(interval, weather).tobytes(),
+            )
+
+        before = snapshot()
+        energies = packed.energy_in(interval, weather)
+        saveable = packed.saveable_energy(interval, weather)
+        energies *= 2.0
+        saveable[:] = -1.0
+        matrix = packed.demand_profiles(weather)
+        with pytest.raises(ValueError):
+            matrix[0, 0] = -1.0
+        assert not matrix.flags.writeable
+        assert snapshot() == before
+
+    def test_shared_fleet_under_threads_matches_solo(self, households):
+        # Serving threads share cached fleets: concurrent fills and FIFO
+        # evictions (more heating factors than cache entries) must neither
+        # raise nor hand any thread bytes that differ from a solo run.
+        import sys
+        import threading
+
+        weathers = [
+            WeatherSample(temperature_c=t, condition=WeatherCondition.COLD)
+            for t in (12.0, 6.0, 0.0, -6.0, -12.0, -18.0)
+        ]
+        solo = HouseholdFleet(households)
+        expected = {
+            (w.temperature_c, i): (
+                solo.energy_in(interval, w).tobytes(),
+                solo.saveable_energy(interval, w).tobytes(),
+                solo.demand_profiles(w).tobytes(),
+            )
+            for w in weathers
+            for i, interval in enumerate(PASS_INTERVALS)
+        }
+        shared = HouseholdFleet(households)
+        failures: list[str] = []
+
+        def worker(offset: int) -> None:
+            try:
+                for step in range(60):
+                    w = weathers[(step + offset) % len(weathers)]
+                    i = (step * (offset + 1)) % len(PASS_INTERVALS)
+                    interval = PASS_INTERVALS[i]
+                    got = (
+                        shared.energy_in(interval, w).tobytes(),
+                        shared.saveable_energy(interval, w).tobytes(),
+                        shared.demand_profiles(w).tobytes(),
+                    )
+                    if got != expected[(w.temperature_c, i)]:
+                        failures.append(f"thread {offset} step {step}")
+            except Exception as error:  # reported through the assertion below
+                failures.append(f"thread {offset}: {error!r}")
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []

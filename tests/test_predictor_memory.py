@@ -5,6 +5,9 @@ at O(window · N · slots) instead of O(days · N · slots): these tests pin the
 footprint directly (buffer bytes must not grow once the ring is full) and
 via tracemalloc (running a campaign for 4× the configured window must not
 grow the predictor's traced allocations beyond one day's matrix of slack).
+The prediction itself streams over the ring instead of materialising the
+``(window, N, slots)`` history; its result must stay byte-identical to
+``np.average`` over the chronological history.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ import pytest
 from repro.api import EngineConfig, campaign
 from repro.experiments.campaign_bench import CONDITION_CYCLE, build_campaign_planner
 from repro.grid.demand import PopulationDemand
-from repro.grid.prediction import ConsumptionPredictor
+from repro.grid.prediction import ConsumptionPredictor, PredictionModel
+from repro.grid.weather import WeatherCondition, WeatherSample
 
 
 NUM_HOUSEHOLDS = 40
@@ -72,6 +76,53 @@ class TestRingBufferBound:
         # 3 windows' worth of observations do not add 3 windows of storage.
         assert current - baseline < 2 * one_day_bytes
         assert peak - baseline < 4 * one_day_bytes
+
+
+MODELS = [
+    PredictionModel.MEAN,
+    PredictionModel.EXPONENTIAL_SMOOTHING,
+    PredictionModel.WEATHER_ADJUSTED,
+]
+FORECAST = WeatherSample(temperature_c=-12.0, condition=WeatherCondition.COLD)
+
+
+def _weathered_day(seed: int) -> PopulationDemand:
+    day = _day(seed)
+    weather = WeatherSample(temperature_c=-10.0 + seed % 7, condition=WeatherCondition.COLD)
+    return PopulationDemand(
+        household_ids=day.household_ids, matrix=day.matrix(), weather=weather
+    )
+
+
+def _reference(predictor: ConsumptionPredictor) -> np.ndarray:
+    """The prediction as ``np.average`` over the unwrapped history."""
+    matrix = np.average(
+        predictor._chronological_history(), axis=0, weights=predictor._weights()
+    )
+    adjustment = predictor._weather_adjustment(FORECAST)
+    return matrix * adjustment if adjustment != 1.0 else matrix
+
+
+class TestStreamingAverage:
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("window", range(1, 10))
+    def test_ring_at_every_offset_matches_np_average(self, model, window):
+        predictor = ConsumptionPredictor(model, history_window=window)
+        # Partially filled, then full with the oldest row at every offset.
+        for seed in range(2 * window):
+            predictor.observe(_weathered_day(seed))
+            assert predictor._start == max(0, seed + 1 - window) % window
+            predicted = predictor.predict_columnar(FORECAST).matrix
+            assert predicted.tobytes() == _reference(predictor).tobytes()
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_unbounded_history_past_doubling_matches_np_average(self, model):
+        predictor = ConsumptionPredictor(model)
+        for seed in range(20):
+            predictor.observe(_weathered_day(seed))
+            predicted = predictor.predict_columnar(FORECAST).matrix
+            assert predicted.tobytes() == _reference(predictor).tobytes()
+        assert predictor._buffer.shape[0] == 32
 
 
 class TestCampaignFootprint:
